@@ -164,6 +164,11 @@ func (s Statement) Key() SlotKey {
 	return SlotKey{Context: s.Context, Kind: s.Kind, Instance: s.Instance, Slot: s.Slot, Round: s.Round}
 }
 
+// statement returns the statement for value v in slot k.
+func (k SlotKey) statement(v types.Digest) Statement {
+	return Statement{Context: k.Context, Kind: k.Kind, Instance: k.Instance, Slot: k.Slot, Round: k.Round, Value: v}
+}
+
 // String implements fmt.Stringer.
 func (s Statement) String() string {
 	return fmt.Sprintf("%v[ctx%d,%v,slot%d,r%d]=%v", s.Kind, s.Context, s.Instance, s.Slot, s.Round, s.Value)

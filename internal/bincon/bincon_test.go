@@ -1,6 +1,7 @@
 package bincon
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -38,9 +39,12 @@ func (n *binNode) OnTimer(payload any) {
 type binCluster struct {
 	net     *simnet.Network
 	nodes   map[types.ReplicaID]*binNode
+	members []types.ReplicaID
+	// mu guards decided and pofs: the parallel simulator runs nodes'
+	// handlers, and so their callbacks, on concurrent workers.
+	mu      sync.Mutex
 	decided map[types.ReplicaID]Decision
 	pofs    map[types.ReplicaID][]accountability.PoF
-	members []types.ReplicaID
 }
 
 func buildBin(t *testing.T, n int, eq func(types.ReplicaID) *Equivocator, seed int64) *binCluster {
@@ -65,7 +69,9 @@ func buildBin(t *testing.T, n int, eq func(types.ReplicaID) *Equivocator, seed i
 		signer := signers[i]
 		c.net.AddNode(id, func(env simnet.Env) simnet.Handler {
 			log := accountability.NewLog(signer, func(p accountability.PoF) {
+				c.mu.Lock()
 				c.pofs[id] = append(c.pofs[id], p)
+				c.mu.Unlock()
 			})
 			var e *Equivocator
 			if eq != nil {
@@ -85,7 +91,11 @@ func buildBin(t *testing.T, n int, eq func(types.ReplicaID) *Equivocator, seed i
 				CoordTimeout: func(r types.Round) time.Duration {
 					return 50 * time.Millisecond * time.Duration(r+1)
 				},
-				OnDecide: func(d Decision) { c.decided[id] = d },
+				OnDecide: func(d Decision) {
+					c.mu.Lock()
+					c.decided[id] = d
+					c.mu.Unlock()
+				},
 			})}
 			c.nodes[id] = node
 			return node

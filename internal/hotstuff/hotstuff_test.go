@@ -2,6 +2,7 @@ package hotstuff
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,7 +17,10 @@ type cluster struct {
 	net      *simnet.Network
 	replicas map[types.ReplicaID]*Replica
 	members  []types.ReplicaID
-	commits  map[types.ReplicaID][]*Block
+	// mu guards commits: the parallel simulator runs replicas' handlers,
+	// and so their OnCommit callbacks, on concurrent workers.
+	mu      sync.Mutex
+	commits map[types.ReplicaID][]*Block
 }
 
 func build(t *testing.T, n int, crash map[types.ReplicaID]bool, seed int64, maxViews uint64) *cluster {
@@ -47,7 +51,11 @@ func build(t *testing.T, n int, crash map[types.ReplicaID]bool, seed int64, maxV
 				BatchSource: func(view uint64) ([]byte, int, int) {
 					return []byte(fmt.Sprintf("batch-%d-%v", view, id)), 0, 100
 				},
-				OnCommit:    func(b *Block) { c.commits[id] = append(c.commits[id], b) },
+				OnCommit: func(b *Block) {
+					c.mu.Lock()
+					c.commits[id] = append(c.commits[id], b)
+					c.mu.Unlock()
+				},
 				BaseTimeout: 300 * time.Millisecond,
 				MaxViews:    maxViews,
 			})
